@@ -1,7 +1,9 @@
 """Command-line front end: run the paper's experiments from a shell.
 
-``repro <experiment>`` (or ``python -m repro <experiment>``) runs one of
-the reproduction experiments and prints its headline numbers;
+``repro run <scenario>`` (or ``python -m repro run <scenario>``) runs
+one of the reproduction experiments through the run ledger and prints
+its headline numbers; the legacy ``repro fig1`` ... ``repro accuracy``
+commands are forced runs of the same scenarios (:data:`_ALIASES`).
 ``repro characterize`` builds and saves extraction tables for a CPW
 family.
 """
@@ -11,10 +13,9 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from typing import List, Optional
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
-
-from repro.constants import GHz, to_GHz, to_nH, to_pF, to_ps, um
+from repro.constants import GHz, to_GHz, um
 
 #: ``--PARAM=value`` scenario override (pycomex style): UPPERCASE name,
 #: pre-extracted in :func:`main` because argparse cannot accept unknown
@@ -41,25 +42,82 @@ def _print_simulation_health(sections) -> None:
             print(f"  [{label}] " + ", ".join(parts))
 
 
-def _run_scenario_alias(args: argparse.Namespace, name: str,
-                        overrides: dict) -> int:
+class _Alias(NamedTuple):
+    """One legacy experiment command: a forced ``repro run <scenario>``."""
+
+    scenario: str
+    help: str
+    #: ``(flag, PARAM, add_argument kwargs)``: each flag sets one
+    #: scenario parameter (a ``None`` value keeps the default).
+    flags: Tuple[Tuple[str, str, dict], ...] = ()
+    telemetry: bool = False
+
+
+#: The paper's seven experiments under their legacy command names.
+_ALIASES: Dict[str, _Alias] = {
+    "fig1": _Alias(
+        "fig1-delay", "Figs. 1-3 delay comparison",
+        flags=(("--drive-resistance", "DRIVE_RESISTANCE",
+                {"type": float, "default": 15.0}),),
+        telemetry=True),
+    "fig5": _Alias(
+        "fig5-foundations", "Fig. 5 loop-L matrix + Foundations",
+        flags=(("--traces", "N_TRACES", {"type": int, "default": 5}),)),
+    "table1": _Alias("table1-cascading", "Table I cascading comparison"),
+    "scaling": _Alias("length-scaling", "super-linear length scaling"),
+    "skew": _Alias(
+        "htree-skew", "H-tree skew RC vs RLC",
+        flags=(
+            ("--library", "LIBRARY", {
+                "default": None,
+                "help": "characterization library to pull tables from"}),
+            ("--solver", "SOLVER", {
+                "default": "auto", "choices": ["auto", "dense", "sparse"],
+                "help": "MNA factorization backend (auto picks dense "
+                        "for small trees, sparse at chip scale)"}),
+        ),
+        telemetry=True),
+    "variation": _Alias("process-variation", "process variation study"),
+    "accuracy": _Alias("table-accuracy", "table accuracy and speedup",
+                       telemetry=True),
+}
+
+
+def _add_alias_parsers(sub) -> None:
+    """One subcommand per :data:`_ALIASES` entry."""
+    for command, alias in _ALIASES.items():
+        parser = sub.add_parser(command, help=alias.help)
+        for flag, _param, kwargs in alias.flags:
+            parser.add_argument(flag, **kwargs)
+        if alias.telemetry:
+            _add_telemetry_arg(parser)
+        parser.set_defaults(func=_run_scenario_alias, manages_telemetry=True)
+
+
+def _run_scenario_alias(args: argparse.Namespace) -> int:
     """Legacy experiment commands routed through the scenario runner.
 
     Aliases always execute (``force=True``) and always record a
     provenance-stamped ledger run; skip-if-done is a ``repro run``
     behavior.  Output is the scenario's own ``render`` plus the
-    simulation-health one-liners, so the console contract is unchanged.
+    simulation-health one-liners.
     """
     from repro.scenarios import get_scenario, run_scenario
 
+    alias = _ALIASES[args.command]
+    overrides = {}
+    for flag, param, _kwargs in alias.flags:
+        value = getattr(args, flag.lstrip("-").replace("-", "_"))
+        if value is not None:
+            overrides[param] = value
     telemetry_path = getattr(args, "telemetry", None)
     outcome = run_scenario(
-        name, overrides,
+        alias.scenario, overrides,
         force=True,
         command=f"repro {args.command}",
         telemetry_path=telemetry_path,
     )
-    scenario = get_scenario(name)
+    scenario = get_scenario(alias.scenario)
     if scenario.render is not None:
         print(scenario.render(outcome.metrics))
     if outcome.report is not None and outcome.report.simulation:
@@ -67,87 +125,6 @@ def _run_scenario_alias(args: argparse.Namespace, name: str,
     if telemetry_path:
         print(f"telemetry report -> {telemetry_path}")
     return 0
-
-
-def _cmd_fig1(args: argparse.Namespace) -> int:
-    return _run_scenario_alias(
-        args, "fig1-delay",
-        {"DRIVE_RESISTANCE": args.drive_resistance},
-    )
-
-
-def _cmd_fig5(args: argparse.Namespace) -> int:
-    from repro.experiments import run_fig5
-
-    result = run_fig5(n_traces=args.traces)
-    print(f"Fig. 5 loop inductance matrix [nH] at {to_GHz(result.frequency):.1f} GHz")
-    header = "       " + "".join(f"{name:>9}" for name in result.trace_names)
-    print(header)
-    for name, row in zip(result.trace_names, result.loop_matrix):
-        cells = "".join(f"{to_nH(v):9.4f}" for v in row)
-        print(f"  {name:>5}{cells}")
-    f1, f2 = result.foundation1, result.foundation2
-    print(f"  Foundation 1: {to_nH(f1.full_value):.4f} vs {to_nH(f1.reduced_value):.4f} nH"
-          f"  (error {f1.relative_error * 100.0:.2f} %)")
-    print(f"  Foundation 2: {to_nH(f2.full_value):.4f} vs {to_nH(f2.reduced_value):.4f} nH"
-          f"  (error {f2.relative_error * 100.0:.2f} %)")
-    return 0
-
-
-def _cmd_table1(args: argparse.Namespace) -> int:
-    from repro.experiments import run_table1
-
-    result = run_table1()
-    print("Table I: linear cascading comparison "
-          f"(at {to_GHz(result.frequency):.1f} GHz; paper errors: 3.57 %, 1.55 %)")
-    print(f"  {'structure':>10} {'full L [nH]':>12} {'S/P comb [nH]':>14} {'error':>8}")
-    for row in result.rows:
-        cmp_ = row.comparison
-        print(f"  {row.name:>10} {to_nH(cmp_.full_inductance):12.4f} "
-              f"{to_nH(cmp_.combined_inductance):14.4f} {row.error_percent:7.2f}%")
-    return 0
-
-
-def _cmd_scaling(args: argparse.Namespace) -> int:
-    from repro.experiments import run_length_scaling
-
-    result = run_length_scaling()
-    print("Super-linear inductance length scaling (Sec. V)")
-    print(f"  {'length [um]':>12} {'self L [nH]':>12} {'mutual L [nH]':>14}")
-    for length, ls, lm in zip(
-        result.lengths, result.self_inductance, result.mutual_inductance
-    ):
-        print(f"  {length * 1e6:12.0f} {to_nH(ls):12.4f} {to_nH(lm):14.4f}")
-    print(f"  L(2000um)/L(1000um) = {result.doubling_ratio(1e-3):.3f} "
-          "(paper: about 2.2)")
-    return 0
-
-
-def _cmd_skew(args: argparse.Namespace) -> int:
-    return _run_scenario_alias(
-        args, "htree-skew",
-        {
-            "LIBRARY": getattr(args, "library", None) or "",
-            "SOLVER": getattr(args, "solver", "auto"),
-        },
-    )
-
-
-def _cmd_variation(args: argparse.Namespace) -> int:
-    from repro.experiments import run_process_variation
-
-    result = run_process_variation()
-    print("Process variation: statistical RC vs nominal L (Sec. V)")
-    print(f"  R spread (sigma/mean) = {result.r_spread * 100.0:5.2f} %")
-    print(f"  C spread (sigma/mean) = {result.c_spread * 100.0:5.2f} %")
-    print(f"  L spread (sigma/mean) = {result.l_spread * 100.0:5.2f} %")
-    print(f"  L is {result.l_insensitivity_factor:.1f}x steadier than R/C "
-          "-- nominal-L + statistical-RC is justified")
-    return 0
-
-
-def _cmd_accuracy(args: argparse.Namespace) -> int:
-    return _run_scenario_alias(args, "table-accuracy", {})
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -1022,37 +999,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_fig1 = sub.add_parser("fig1", help="Figs. 1-3 delay comparison")
-    p_fig1.add_argument("--drive-resistance", type=float, default=15.0)
-    _add_telemetry_arg(p_fig1)
-    p_fig1.set_defaults(func=_cmd_fig1, manages_telemetry=True)
-
-    p_fig5 = sub.add_parser("fig5", help="Fig. 5 loop-L matrix + Foundations")
-    p_fig5.add_argument("--traces", type=int, default=5)
-    p_fig5.set_defaults(func=_cmd_fig5)
-
-    sub.add_parser("table1", help="Table I cascading comparison").set_defaults(
-        func=_cmd_table1
-    )
-    sub.add_parser("scaling", help="super-linear length scaling").set_defaults(
-        func=_cmd_scaling
-    )
-    p_skew = sub.add_parser("skew", help="H-tree skew RC vs RLC")
-    p_skew.add_argument("--library", default=None,
-                        help="characterization library to pull tables from")
-    p_skew.add_argument("--solver", default="auto",
-                        choices=["auto", "dense", "sparse"],
-                        help="MNA factorization backend (auto picks dense "
-                             "for small trees, sparse at chip scale)")
-    _add_telemetry_arg(p_skew)
-    p_skew.set_defaults(func=_cmd_skew, manages_telemetry=True)
-    sub.add_parser("variation", help="process variation study").set_defaults(
-        func=_cmd_variation
-    )
-    p_accuracy = sub.add_parser("accuracy",
-                                help="table accuracy and speedup")
-    _add_telemetry_arg(p_accuracy)
-    p_accuracy.set_defaults(func=_cmd_accuracy, manages_telemetry=True)
+    _add_alias_parsers(sub)
 
     p_run = sub.add_parser(
         "run",

@@ -18,8 +18,8 @@ needs --
    :class:`~repro.tables.lookup.ExtractionTable` objects.
 
 Jobs are frozen dataclasses holding only picklable state (structure
-configs are themselves frozen dataclasses), so they travel to
-``ProcessPoolExecutor`` workers unchanged -- no lambdas, no bound
+configs are themselves frozen dataclasses), so they travel to process
+pool workers (:mod:`repro.parallel`) unchanged -- no lambdas, no bound
 methods, no function-local imports.
 """
 

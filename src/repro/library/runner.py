@@ -6,15 +6,15 @@
 
 * **Skip what is built.** A job whose output tables are all present in
   the library (by content key) costs one manifest lookup.
-* **Fan out.** Remaining grid points are solved concurrently on a
-  ``ProcessPoolExecutor`` (each point is an independent field solve, so
-  the problem is embarrassingly parallel).  Points are submitted in
-  contiguous *chunks* so the per-task dispatch cost is amortized and
-  neighboring grid points land in the same worker, where the PEEC
-  kernel's partial-inductance memo cache reuses their shared geometry.
-  ``workers=1`` (explicitly or effectively, e.g. a 1-CPU machine) or
-  ``parallel=False`` degrades to a deterministic in-process loop with
-  no pool at all.
+* **Fan out.** Remaining grid points are solved concurrently through
+  :func:`repro.parallel.run_tasks` (each point is an independent field
+  solve, so the problem is embarrassingly parallel).  Points are
+  submitted in contiguous *chunks* so the per-task dispatch cost is
+  amortized and neighboring grid points land in the same worker, where
+  the PEEC kernel's partial-inductance memo cache reuses their shared
+  geometry.  ``workers=1`` (explicitly or effectively, e.g. a 1-CPU
+  machine) or ``parallel=False`` degrades to a deterministic in-process
+  loop with no pool at all.
 * **Checkpoint.** Every completed point is appended as one JSON line to
   ``<library>/checkpoints/<job_id>.jsonl`` and flushed, so a build
   killed mid-grid resumes from exactly the solved set -- only the
@@ -25,10 +25,9 @@
   (fraction done, points/sec, ETA, memo hit rate).
 * **Aggregate.** Counters tick in whichever process does the work, so a
   parallel build's solver activity would be invisible to the parent.
-  Each pool task therefore ships back the worker's
-  :class:`~repro.telemetry.MetricsSnapshot` *delta* and drained span
-  tree along with its results; the parent folds them into
-  :class:`JobStats` / :class:`BuildStats` (``worker_metrics``,
+  The pool ships each chunk's :class:`~repro.telemetry.MetricsSnapshot`
+  *delta* and drained span tree back with its results; the parent folds
+  them into :class:`JobStats` / :class:`BuildStats` (``worker_metrics``,
   ``worker_spans``) -- *not* into its own registry, so "this process
   performed zero solves" assertions keep meaning exactly that.  A
   compact telemetry summary of every finalized job is embedded in the
@@ -45,7 +44,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -53,11 +51,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from repro.errors import TableError
 from repro.library.jobs import CharacterizationJob
 from repro.library.store import TableLibrary, open_library
+from repro.parallel import TaskResult, run_tasks
 from repro.telemetry import (
     BUILD_CHUNK_SECONDS,
     MetricsSnapshot,
     get_registry,
-    get_tracer,
     span,
 )
 
@@ -226,31 +224,6 @@ class BuildStats:
         )
 
 
-@dataclass(frozen=True)
-class ChunkResult:
-    """What one pool task ships back to the build parent.
-
-    Everything is plain picklable data: the solved ``(index, values)``
-    pairs, the chunk's wall time and worker pid, the worker-registry
-    metric *delta* accumulated while solving (serialized via
-    :meth:`~repro.telemetry.MetricsSnapshot.to_dict`), and the span
-    trees the chunk produced.
-    """
-
-    results: List[Tuple[int, List[float]]]
-    wall_time: float
-    pid: int
-    metrics: dict
-    spans: List[dict]
-
-
-def _solve_point_task(
-    job: CharacterizationJob, index: int, point: Tuple[float, ...]
-) -> Tuple[int, Tuple[float, ...]]:
-    """Module-level worker entry point (picklable for the process pool)."""
-    return index, job.solve_point(point)
-
-
 #: Disk-memo shard paths this worker process has already warmed from;
 #: keeps a long-lived pool worker from re-reading the shard every chunk.
 _WORKER_MEMO_WARMED: set = set()
@@ -270,8 +243,8 @@ def _solve_chunk_task(
     indices: Sequence[int],
     points: Sequence[Tuple[float, ...]],
     disk_memo: Optional[str] = None,
-) -> ChunkResult:
-    """Solve a chunk of grid points in one worker task.
+) -> List[Tuple[int, List[float]]]:
+    """Solve a chunk of grid points in one task.
 
     Chunking amortizes the per-task pickle/dispatch overhead and --
     more importantly -- keeps neighboring grid points in the same
@@ -279,21 +252,12 @@ def _solve_chunk_task(
     shared filament-pair geometry across them
     (:meth:`CharacterizationJob.solve_points`).
 
-    The chunk is wrapped in a ``library.chunk`` span, and the worker
-    registry's metric delta over the chunk travels back with the
-    results -- the parent merges it into the build totals without ever
-    polluting its own registry.
+    The chunk is wrapped in a ``library.chunk`` span; the pool ships
+    it, and the chunk's metric delta, back with the returned
+    ``(index, values)`` pairs.
     """
     from repro.telemetry.logs import correlation_scope, get_logger
 
-    registry = get_registry()
-    tracer = get_tracer()
-    # A forked worker inherits the parent's completed roots and -- when
-    # the fork happened inside an open span -- its open-span stack.
-    # Drop both so this chunk's trace is exactly this chunk's work.
-    tracer.clear_stack()
-    tracer.reset()
-    start = registry.snapshot()
     t0 = time.perf_counter()
     if disk_memo is not None:
         _warm_worker_memo(disk_memo)
@@ -302,32 +266,23 @@ def _solve_chunk_task(
     # back to the parent and on every log record the chunk emits.
     chunk_id = f"{job.job_id[:12]}.{indices[0]}-{indices[-1]}"
     with correlation_scope(chunk_id=chunk_id):
-        with tracer.span("library.chunk", job=job.kind, points=len(indices)):
+        with span("library.chunk", job=job.kind, points=len(indices)):
             values = job.solve_points(points)
-        wall = time.perf_counter() - t0
         get_logger("repro.library.chunk").info(
             "chunk_done",
             job=job.kind,
             points=len(indices),
-            wall_seconds=round(wall, 4),
+            wall_seconds=round(time.perf_counter() - t0, 4),
             pid=os.getpid(),
         )
     if disk_memo is not None:
         from repro.peec.diskmemo import flush_lp_memo
 
         flush_lp_memo(disk_memo)
-    wall = time.perf_counter() - t0
-    delta = registry.snapshot().minus(start)
-    return ChunkResult(
-        results=[
-            (int(i), [float(v) for v in vals])
-            for i, vals in zip(indices, values)
-        ],
-        wall_time=wall,
-        pid=os.getpid(),
-        metrics=delta.to_dict(),
-        spans=[sp.to_dict() for sp in tracer.drain()],
-    )
+    return [
+        (int(i), [float(v) for v in vals])
+        for i, vals in zip(indices, values)
+    ]
 
 
 def _chunk_indices(remaining: Sequence[int], n_chunks: int) -> List[List[int]]:
@@ -576,54 +531,36 @@ class BuildRunner:
         cache hits.  Checkpointing still happens per *point* as each
         chunk's results are recorded.
 
-        Each :class:`ChunkResult` also carries the worker's metric delta
-        and span tree for the chunk; they are folded into *job_stats*
-        (not the parent registry -- per-process counter semantics stay
-        intact) and the chunk wall time lands in both
-        ``job_stats.chunk_wall_times`` and the parent's
-        ``build_chunk_seconds`` histogram.
+        A pool chunk's metric delta and span trees are folded into
+        *job_stats* (not the parent registry -- per-process counter
+        semantics stay intact); a chunk the pool fallback ran
+        in-process already counted in the parent.  Every chunk's wall
+        time lands in both ``job_stats.chunk_wall_times`` and the
+        parent's ``build_chunk_seconds`` histogram.
         """
         if self.chunk_size is not None:
             n_chunks = -(-len(remaining) // self.chunk_size)  # ceil div
         else:
             n_chunks = self.effective_workers * self.CHUNKS_PER_WORKER
         chunks = _chunk_indices(list(remaining), n_chunks)
-        try:
-            executor = ProcessPoolExecutor(max_workers=self.workers)
-        except (OSError, ValueError):  # pragma: no cover - constrained envs
-            self._run_serial(job, points, remaining, record, job_stats)
-            return
         registry = get_registry()
-        with executor:
-            pending = {
-                executor.submit(
-                    _solve_chunk_task, job, chunk,
-                    [points[i] for i in chunk],
-                    self.disk_memo,
-                )
-                for chunk in chunks
-            }
-            try:
-                while pending:
-                    finished, pending = wait(pending,
-                                             return_when=FIRST_COMPLETED)
-                    for future in finished:
-                        chunk_result = future.result()
-                        job_stats.chunk_wall_times.append(
-                            chunk_result.wall_time
-                        )
-                        registry.observe(BUILD_CHUNK_SECONDS,
-                                         chunk_result.wall_time)
-                        job_stats.add_worker_snapshot(
-                            MetricsSnapshot.from_dict(chunk_result.metrics)
-                        )
-                        job_stats.worker_spans.extend(chunk_result.spans)
-                        for index, values in chunk_result.results:
-                            record(index, values)
-            except BaseException:
-                for future in pending:
-                    future.cancel()
-                raise
+
+        def fold(result: TaskResult) -> None:
+            job_stats.chunk_wall_times.append(result.wall_time)
+            registry.observe(BUILD_CHUNK_SECONDS, result.wall_time)
+            if result.in_worker:
+                job_stats.add_worker_snapshot(result.metrics)
+                job_stats.worker_spans.extend(result.spans)
+            for index, values in result.value:
+                record(index, values)
+
+        run_tasks(
+            _solve_chunk_task,
+            [(job, chunk, [points[i] for i in chunk], self.disk_memo)
+             for chunk in chunks],
+            workers=self.effective_workers,
+            fold=fold,
+        )
 
     # ------------------------------------------------------------------
     def _finalize_job(

@@ -1,8 +1,8 @@
 """Execute scenarios: content-addressed run keys, skip-if-done, ledger.
 
 ``run_scenario`` is the one code path every experiment invocation takes
--- ``repro run <scenario>``, the legacy ``repro fig1/skew/accuracy``
-aliases, and tests all land here.  The flow:
+-- ``repro run <scenario>``, the seven legacy ``repro fig1`` ...
+``repro accuracy`` aliases, sweep points, and tests all land here.  The flow:
 
 1. canonicalize params (``spec.canonical_params``) so spelling variants
    of the same request collapse;

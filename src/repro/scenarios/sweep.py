@@ -22,10 +22,11 @@ Observability is campaign-level:
 * the finished campaign persists as a first-class
   :class:`~repro.scenarios.campaign.CampaignReport` in the ledger.
 
-Workers follow the library BuildRunner pattern: each point task runs in
-a forked pool process, measures its own registry *delta*, and ships it
-back for the parent to fold via ``MetricsSnapshot.merged`` -- parent
-counters never mix with worker counters.
+Points fan out through :func:`repro.parallel.run_tasks`, the same pool
+primitive the library build uses: each point's registry *delta* comes
+back with its row and the parent folds it into the campaign totals via
+``MetricsSnapshot.merged`` -- parent counters never mix with worker
+counters.  ``workers=1`` runs every point in-process.
 """
 
 from __future__ import annotations
@@ -34,13 +35,13 @@ import itertools
 import random
 import re
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
 from repro.errors import ScenarioError, ScenarioRunError
 from repro.library.store import cache_key
+from repro.parallel import TaskResult, run_tasks
 from repro.scenarios.campaign import CampaignReport
 from repro.scenarios.ledger import RunLedger
 from repro.scenarios.registry import get_scenario
@@ -265,29 +266,16 @@ def _sweep_point_task(
     force: bool,
     sweep_id: str,
     index: int,
-    in_worker: bool = True,
 ) -> dict:
-    """Run one grid point; returns its outcome row + telemetry delta.
+    """Run one grid point through the ledger runner; returns its row.
 
     Never raises on scenario failure -- the row records status
     ``failed`` (the ledger already holds the failed run's record), so
-    one bad point cannot take down the campaign.  The worker registry's
-    metric delta travels back in ``row["telemetry"]`` for the parent to
-    merge, mirroring the library build chunk task.
+    one bad point cannot take down the campaign.
     """
+    from repro.scenarios.runner import run_scenario
     from repro.telemetry.logs import sweep_scope
-    from repro.telemetry.spans import get_tracer
 
-    registry = get_registry()
-    if in_worker:
-        # A forked worker inherits the parent's completed span roots
-        # and open-span stack; drop both so this point's trace is
-        # exactly this point's work.
-        tracer = get_tracer()
-        tracer.clear_stack()
-        tracer.reset()
-    start = registry.snapshot()
-    t0 = time.perf_counter()
     row: Dict[str, object] = {
         "index": index,
         "params": dict(overrides),
@@ -301,9 +289,12 @@ def _sweep_point_task(
     }
     with sweep_scope(sweep_id[:12], point=str(index)):
         try:
-            outcome = run_scenario_for_sweep(
+            outcome = run_scenario(
                 scenario_name, overrides,
-                ledger_root=ledger_root, force=force, index=index)
+                ledger=RunLedger(Path(ledger_root)),
+                force=force,
+                command=f"repro sweep {scenario_name}#{index}",
+            )
             row.update(
                 params=dict(outcome.params),
                 run_id=outcome.run_id,
@@ -318,23 +309,7 @@ def _sweep_point_task(
             row["error"] = str(exc)
         except ScenarioError as exc:
             row["error"] = str(exc)
-    row["wall"] = time.perf_counter() - t0
-    row["telemetry"] = registry.snapshot().minus(start).to_dict()
     return row
-
-
-def run_scenario_for_sweep(scenario_name: str,
-                           overrides: Dict[str, object],
-                           *, ledger_root: str, force: bool, index: int):
-    """One point through the ordinary ledger runner, sweep-labelled."""
-    from repro.scenarios.runner import run_scenario
-
-    return run_scenario(
-        scenario_name, overrides,
-        ledger=RunLedger(Path(ledger_root)),
-        force=force,
-        command=f"repro sweep {scenario_name}#{index}",
-    )
 
 
 # ----------------------------------------------------------------------
@@ -471,11 +446,11 @@ class SweepRunner:
                 telemetry=merged,
             )
 
-        def fold(row: dict) -> None:
+        def fold(result: TaskResult) -> None:
             nonlocal merged, failed, skipped
-            delta = row.pop("telemetry", None)
-            if delta:
-                merged = merged.merged(MetricsSnapshot.from_dict(delta))
+            row = result.value
+            row["wall"] = result.wall_time
+            merged = merged.merged(result.metrics)
             if row.get("status") == "failed":
                 failed += 1
             if row.get("skipped"):
@@ -495,14 +470,14 @@ class SweepRunner:
                 force=self.force,
             )
             _publish_gauges(tick(), running=True)
-            if effective_workers <= 1:
-                for index, overrides in enumerate(self.points):
-                    fold(_sweep_point_task(
-                        self.spec.scenario, overrides,
-                        str(self.ledger.root), self.force, sweep_id,
-                        index, in_worker=False))
-            else:
-                self._run_parallel(sweep_id, effective_workers, fold)
+            run_tasks(
+                _sweep_point_task,
+                [(self.spec.scenario, overrides, str(self.ledger.root),
+                  self.force, sweep_id, index)
+                 for index, overrides in enumerate(self.points)],
+                workers=effective_workers,
+                fold=fold,
+            )
             duration = time.perf_counter() - t0
             final = tick()
             _publish_gauges(final, running=False)
@@ -530,36 +505,6 @@ class SweepRunner:
         )
         self.ledger.record_campaign(report)
         return report
-
-    # ------------------------------------------------------------------
-    def _run_parallel(self, sweep_id: str, workers: int,
-                      fold: Callable[[dict], None]) -> None:
-        """Fan points over a process pool, folding rows as they land."""
-        try:
-            executor = ProcessPoolExecutor(max_workers=workers)
-        except (OSError, ValueError):  # pragma: no cover - constrained envs
-            for index, overrides in enumerate(self.points):
-                fold(_sweep_point_task(
-                    self.spec.scenario, overrides, str(self.ledger.root),
-                    self.force, sweep_id, index, in_worker=False))
-            return
-        with executor:
-            pending = {
-                executor.submit(
-                    _sweep_point_task, self.spec.scenario, overrides,
-                    str(self.ledger.root), self.force, sweep_id, index)
-                for index, overrides in enumerate(self.points)
-            }
-            try:
-                while pending:
-                    finished, pending = wait(
-                        pending, return_when=FIRST_COMPLETED)
-                    for future in finished:
-                        fold(future.result())
-            except BaseException:
-                for future in pending:
-                    future.cancel()
-                raise
 
 
 def run_sweep(spec: SweepSpec, **kwargs) -> CampaignReport:

@@ -1,7 +1,7 @@
 """Zero-dependency observability for the extraction pipeline.
 
-``repro.telemetry`` supersedes and absorbs :mod:`repro.instrumentation`
-(which remains as a thin compatibility shim).  Four pieces:
+``repro.telemetry`` owns every counter, span and report in the
+pipeline.  Its pieces:
 
 * :mod:`~repro.telemetry.registry` -- a process-wide metrics registry
   (counters, gauges, fixed-bucket histograms) with atomic snapshots and

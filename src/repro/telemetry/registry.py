@@ -17,15 +17,14 @@ economics behind it) continuously measurable.  One process-wide
 Everything is guarded by **one** registry lock, so
 :meth:`MetricsRegistry.snapshot` is atomic across every metric: derived
 quantities like the memo hit rate are computed from a single coherent
-snapshot instead of two racy reads (the bug the old
-``instrumentation.memo_hit_rate`` had).
+snapshot instead of two racy reads.
 
 Snapshots are plain, picklable, JSON-able value objects
 (:class:`MetricsSnapshot`) supporting difference (``minus``) and sum
-(``merged``) -- the algebra the cross-process build aggregation in
-:mod:`repro.library.runner` is built on: each pool worker returns the
-snapshot *delta* of its chunk, and the parent merges the deltas into
-true build totals.
+(``merged``) -- the algebra the cross-process aggregation in
+:mod:`repro.parallel` is built on: each pool task returns the snapshot
+*delta* of its work, and the parent merges the deltas into true build
+and campaign totals.
 """
 
 from __future__ import annotations
@@ -133,7 +132,7 @@ AUDIT_SOLVE = "audit_direct_solve"
 
 #: Simulation-observability counters (PR 5; see
 #: :mod:`repro.circuit.diagnostics` and :mod:`repro.circuit.lint`).
-#: These are *observational* -- the instrumentation shim excludes the
+#: These are *observational* -- :func:`is_solver_counter` excludes the
 #: ``circuit_*`` / ``netlist_lint*`` families from the zero-solve
 #: totals, the same way it excludes ``table_lookup*``.
 TRANSIENT_STEPS = "circuit_transient_steps"
@@ -580,9 +579,10 @@ class metrics_meter:
         """Solver-work counter deltas observed inside the block.
 
         Purely observational families (:data:`OBSERVATIONAL_PREFIXES`:
-        ``table_lookup*``, ``circuit_*``, ``netlist_lint*``) are
-        excluded, matching the instrumentation shim's zero-solve
-        semantics: a warm lookup or a netlist lint is not solver work.
+        ``table_lookup*``, ``circuit_*``, ``netlist_lint*``, ``serve_*``
+        ...) are excluded: a warm lookup, a netlist lint or a served
+        request is not solver work, so ``meter.total == 0`` is the
+        zero-solve assertion.
         """
         return sum(
             v for k, v in self.delta.counters.items()

@@ -207,8 +207,8 @@ class Tracer:
         open-span stack into the child, where it can never close --
         every span the child then records would attach to the phantom
         inherited parent instead of becoming a drainable root.  Pool
-        workers call this (plus :meth:`reset`) at task start so their
-        trace begins from a clean slate.
+        tasks (:mod:`repro.parallel`) call this plus :meth:`reset` at
+        task start so their trace begins from a clean slate.
         """
         self._local.stack = []
 

@@ -1,9 +1,8 @@
 """Warm-library zero-solve acceptance, asserted through the registry.
 
-The legacy ``instrumentation.solver_call_meter`` version of this claim
-lives in ``tests/library/test_integration.py``; this one goes straight
-at the ``repro.telemetry`` registry the shim now delegates to, so the
-guarantee survives even if the shim is ever removed.
+The ``metrics_meter`` version of this claim lives in
+``tests/library/test_integration.py``; this one reads the
+``repro.telemetry`` registry directly.
 """
 
 import pytest

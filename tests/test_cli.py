@@ -374,21 +374,41 @@ class TestRunCLI:
                      str(tmp_path / "absent")]) == 2
         assert "no run ledger" in capsys.readouterr().err
 
-    def test_alias_records_provenance_run(self, tmp_path, monkeypatch,
-                                          capsys):
+    @pytest.mark.parametrize("argv, scenario, params", [
+        (["fig1"], "fig1-delay", {"DRIVE_RESISTANCE": 15.0}),
+        (["fig5", "--traces", "3"], "fig5-foundations", {"N_TRACES": 3}),
+        (["table1"], "table1-cascading", {}),
+        (["scaling"], "length-scaling", {}),
+        (["skew", "--library", "KIT", "--solver", "sparse"], "htree-skew",
+         {"LIBRARY": "KIT", "SOLVER": "sparse"}),
+        (["variation"], "process-variation", {}),
+        (["accuracy"], "table-accuracy", {}),
+    ], ids=["fig1", "fig5", "table1", "scaling", "skew", "variation",
+            "accuracy"])
+    def test_alias_records_provenance_run(self, argv, scenario, params,
+                                          tmp_path, monkeypatch, capsys):
         from repro.scenarios import RunLedger
 
+        if "KIT" in argv:
+            kit = str(tmp_path / "kit")
+            assert main(["library", "build", "--root", kit, "--serial",
+                         "--quiet", "--widths", "6", "10", "14",
+                         "--lengths", "400", "1500", "3000", "6000"]) == 0
+            argv = [kit if a == "KIT" else a for a in argv]
+            params = {k: kit if v == "KIT" else v for k, v in params.items()}
         root = tmp_path / "alias-ledger"
         monkeypatch.setenv("REPRO_LEDGER", str(root))
-        assert main(["fig1"]) == 0
-        entries = RunLedger(root).entries(scenario="fig1-delay")
+        assert main(argv) == 0
+        entries = RunLedger(root).entries(scenario=scenario)
         assert len(entries) == 1
         assert entries[0].status == "completed"
+        recorded = RunLedger(root).load_run(entries[0].run_id)["params"]
+        assert {k: recorded[k] for k in params} == params
         # aliases always execute -- no skip message even when repeated
         capsys.readouterr()
-        assert main(["fig1"]) == 0
+        assert main(argv) == 0
         assert "ledger hit" not in capsys.readouterr().out
-        assert len(RunLedger(root).entries(scenario="fig1-delay")) == 2
+        assert len(RunLedger(root).entries(scenario=scenario)) == 2
 
 class TestSweepCLI:
     """`repro sweep run|status|report|diff` + the runs --json satellite."""
