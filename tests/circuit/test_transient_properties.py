@@ -63,11 +63,19 @@ def _ladder(stages):
 
 
 def _settle_time(stages):
-    """Generous settling horizon: sum of each stage's time scales."""
+    """Generous settling horizon: sum of each stage's time scales.
+
+    A stage's resistor charges every capacitor downstream of it, not
+    just its own (the Elmore view of the ladder), so its RC and LC
+    scales use the downstream capacitance.  A high-R first stage
+    feeding larger capacitors further down is otherwise still rising
+    at ``t_stop``.
+    """
     total = 0.0
-    for zeta, l, cap in stages:
+    for i, (zeta, l, cap) in enumerate(stages):
         r = 2.0 * zeta * np.sqrt(l / cap)
-        total += r * cap + l / r + np.sqrt(l * cap)
+        c_down = sum(c for _, _, c in stages[i:])
+        total += r * c_down + l / r + np.sqrt(l * c_down)
     return 50.0 * total
 
 
