@@ -523,16 +523,9 @@ def _cmd_spice(args: argparse.Namespace) -> int:
 
 
 def _cmd_characterize(args: argparse.Namespace) -> int:
-    from repro.clocktree.configs import CoplanarWaveguideConfig
     from repro.core.extraction import TableBasedExtractor
 
-    config = CoplanarWaveguideConfig(
-        signal_width=um(args.signal_width),
-        ground_width=um(args.ground_width),
-        spacing=um(args.spacing),
-        thickness=um(args.thickness),
-        height_below=um(args.height_below),
-    )
+    config = _library_config(args)
     widths = [um(w) for w in args.widths]
     lengths = [um(l) for l in args.lengths]
     extractor = TableBasedExtractor.characterize(

@@ -90,7 +90,7 @@ class CoplanarWaveguideConfig:
         n_thickness: int = 2,
         grading: float = 1.5,
     ) -> LoopProblem:
-        """Loop-L extraction problem (the table-builder factory)."""
+        """Loop-L extraction problem (one point of a ``LoopTableJob``)."""
         block = self.trace_block(length, signal_width=signal_width)
         plane = None
         if self.plane_gap is not None:
@@ -236,8 +236,8 @@ class MicrostripConfig:
     ) -> LoopProblem:
         """Two traces over the plane: drive one, open-circuit the other.
 
-        The factory :class:`~repro.tables.builder.MutualLoopTableBuilder`
-        expects: the victim trace is named ``"VICTIM"``.
+        The problem :class:`~repro.library.jobs.MutualLoopJob` expects:
+        the victim trace is named ``"VICTIM"``.
         """
         if separation <= 0.0:
             raise GeometryError("separation must be positive")

@@ -85,12 +85,12 @@ class ClocktreeRLCExtractor:
         Significant frequency for R skin correction and direct L solves.
     inductance_table / resistance_table:
         Loop tables over (width, length) from
-        :class:`~repro.tables.builder.LoopInductanceTableBuilder`; when
+        :class:`~repro.library.jobs.LoopTableJob`; when
         absent, L and loop R come from a direct field solve per segment
         (slower but always available).
     capacitance_table:
         Per-unit-length total-capacitance table over (width, spacing)
-        from :class:`~repro.tables.builder.CapacitanceTableBuilder`;
+        from :class:`~repro.library.jobs.TotalCapacitanceJob`;
         when absent the closed-form models are used.
     library:
         A :class:`~repro.library.store.TableLibrary` (or its root path)
@@ -133,26 +133,17 @@ class ClocktreeRLCExtractor:
     def _attach_library(self, library, layer: Optional[str]) -> None:
         """Fill any missing tables from a characterization library."""
         # Imported here: repro.library is a higher layer that itself
-        # builds on the table builders; keep the base import cheap.
-        from repro.library.jobs import config_fingerprint
-        from repro.library.store import open_library
+        # builds on the field solvers; keep the base import cheap.
+        from repro.library.jobs import library_tables
 
-        lib = open_library(library, create=False)
-        family = config_fingerprint(self.config)
-        criteria = {"family": family}
-        if layer is not None:
-            criteria["layer"] = layer
+        l_table, r_table, c_table = library_tables(
+            library, self.config, self.frequency, layer)
         if self.inductance_table is None:
-            self.inductance_table = lib.get_one(
-                quantity="loop_inductance", frequency=self.frequency,
-                **criteria)
+            self.inductance_table = l_table
         if self.resistance_table is None:
-            self.resistance_table = lib.get_one(
-                quantity="loop_resistance", frequency=self.frequency,
-                **criteria)
+            self.resistance_table = r_table
         if self.capacitance_table is None:
-            self.capacitance_table = lib.get_one(
-                quantity="capacitance_per_length", **criteria)
+            self.capacitance_table = c_table
 
     def coverage(self) -> list:
         """Coverage-map entries for this extractor's attached tables.

@@ -22,10 +22,7 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from repro.errors import TableError
-from repro.tables.builder import (
-    CapacitanceTableBuilder,
-    LoopInductanceTableBuilder,
-)
+from repro.library.jobs import library_tables, standard_clocktree_jobs
 from repro.tables.lookup import ExtractionTable, timed_lookup
 from repro.telemetry import span
 
@@ -114,25 +111,12 @@ class TableBasedExtractor:
             family=name_prefix,
             grid=f"{len(widths)}x{len(lengths)}",
         ):
-            loop_builder = LoopInductanceTableBuilder(
-                problem_factory=config.loop_problem, frequency=frequency
+            jobs = standard_clocktree_jobs(
+                config, frequency, widths, lengths, spacings=spacings,
+                name_prefix=name_prefix, capacitance_grid=capacitance_grid,
             )
-            l_table, r_table = loop_builder.build_loop_tables(
-                widths, lengths, name_prefix=name_prefix
-            )
-            c_table = None
-            if spacings is not None:
-                nx, nz = capacitance_grid if capacitance_grid else (160, 120)
-                cap_builder = CapacitanceTableBuilder(
-                    cross_section_factory=lambda w, s: config.cross_section(
-                        signal_width=w, spacing=s
-                    ),
-                    nx=nx,
-                    nz=nz,
-                )
-                c_table = cap_builder.build_total_cap_table(
-                    widths, spacings, name=f"{name_prefix}_capacitance"
-                )
+            l_table, r_table, *cap = [t for job in jobs for t in job.build()]
+        c_table = cap[0] if cap else None
         return cls(
             config=config,
             frequency=frequency,
@@ -278,29 +262,20 @@ class TableBasedExtractor:
         :mod:`repro.library.store`); raises :class:`TableError` when no
         loop-inductance table has been characterized for the family.
         """
-        from repro.library.jobs import config_fingerprint
-        from repro.library.store import open_library
-
-        lib = open_library(library, create=False)
-        family = config_fingerprint(config)
-        criteria = {"family": family}
-        if layer is not None:
-            criteria["layer"] = layer
-        l_table = lib.get_one(quantity="loop_inductance",
-                              frequency=frequency, **criteria)
+        l_table, r_table, c_table = library_tables(
+            library, config, frequency, layer)
         if l_table is None:
             raise TableError(
-                f"library {lib.root} has no loop_inductance table for "
-                f"this structure family at {frequency:.4g} Hz"
+                f"library {getattr(library, 'root', library)} has no "
+                f"loop_inductance table for this structure family at "
+                f"{frequency:.4g} Hz"
             )
         return cls(
             config=config,
             frequency=frequency,
             inductance_table=l_table,
-            resistance_table=lib.get_one(
-                quantity="loop_resistance", frequency=frequency, **criteria),
-            capacitance_table=lib.get_one(
-                quantity="capacitance_per_length", **criteria),
+            resistance_table=r_table,
+            capacitance_table=c_table,
         )
 
     @classmethod

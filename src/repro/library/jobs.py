@@ -1,21 +1,23 @@
-"""Declarative characterization jobs: grid + builder + cache key.
+"""Declarative characterization jobs: grid + point physics + cache key.
 
-A :class:`CharacterizationJob` is the unit of work of a design-kit
-build: it pairs an axis grid with one of the table builders from
-:mod:`repro.tables.builder` and knows three things the build runner
-needs --
+A :class:`CharacterizationJob` is the one unit of characterization
+(Sec. III): it pairs an axis grid with the field solve of one structure
+family and knows four things --
 
 1. **its own cache keys**: a deterministic ``job_id`` plus one
    ``table_key`` per output table, derived (via
    :func:`repro.library.store.cache_key`) from everything that
-   determines the solved numbers: builder kind and configuration, axis
+   determines the solved numbers: job kind and configuration, axis
    grids, frequency and the library schema version;
 2. **its grid points** and how to **solve one point in isolation** --
    the granularity the process pool and the resume checkpoints operate
    at.  A point solve returns one float per output table, so a loop job
    yields (L, R) pairs and a 3-trace capacitance job (Cg, Cc) pairs;
 3. **how to assemble** the solved point values into finished
-   :class:`~repro.tables.lookup.ExtractionTable` objects.
+   :class:`~repro.tables.lookup.ExtractionTable` objects;
+4. **how to build** itself serially in-process
+   (:meth:`CharacterizationJob.build`), for callers that want tables
+   without a library.
 
 Jobs are frozen dataclasses holding only picklable state (structure
 configs are themselves frozen dataclasses), so they travel to process
@@ -34,14 +36,27 @@ import numpy as np
 
 from repro.constants import RHO_CU
 from repro.errors import TableError
-from repro.library.store import SCHEMA_VERSION, cache_key
-from repro.rc.fieldsolver2d import FieldSolver2D
-from repro.tables.builder import (
-    PartialInductanceTableBuilder,
-    ThreeTraceCapacitanceBuilder,
-    _validated_axis,
-)
+from repro.geometry.primitives import Point3D, RectBar
+from repro.geometry.trace import TraceBlock
+from repro.library.store import SCHEMA_VERSION, cache_key, open_library
+from repro.peec.analytic import skin_depth
+from repro.peec.hoer_love import bar_self_inductance, mutual_inductance_batch
+from repro.peec.mesh import skin_mesh_counts
+from repro.peec.solver import Conductor, PartialInductanceSolver
+from repro.rc.fieldsolver2d import CrossSection2D, FieldSolver2D
 from repro.tables.lookup import ExtractionTable
+from repro.telemetry import TABLE_BUILD_POINT, get_registry, span
+
+
+def _validated_axis(name: str, values: Sequence[float]) -> np.ndarray:
+    axis = np.asarray(values, dtype=float)
+    if axis.ndim != 1 or axis.size < 2:
+        raise TableError(f"axis {name!r} needs at least two points")
+    if not np.all(np.diff(axis) > 0.0):
+        raise TableError(f"axis {name!r} must be strictly increasing")
+    if axis[0] <= 0.0:
+        raise TableError(f"axis {name!r} must be positive")
+    return axis
 
 
 def _axis_tuple(name: str, values: Sequence[float]) -> Tuple[float, ...]:
@@ -70,6 +85,28 @@ def config_fingerprint(config) -> str:
     """sha256 family fingerprint of a structure configuration."""
     return cache_key({"family": config_spec(config),
                       "schema_version": SCHEMA_VERSION})
+
+
+def library_tables(library, config, frequency: float,
+                   layer: Optional[str] = None) -> tuple:
+    """The ``(loop L, loop R, capacitance)`` tables a kit holds for *config*.
+
+    Opens *library* (a :class:`~repro.library.store.TableLibrary` or its
+    root path) and queries it by the config's family fingerprint, by
+    *layer* when given, and by *frequency* for the two loop tables.  A
+    table the kit lacks comes back as ``None``.
+    """
+    lib = open_library(library, create=False)
+    criteria = {"family": config_fingerprint(config)}
+    if layer is not None:
+        criteria["layer"] = layer
+    return (
+        lib.get_one(quantity="loop_inductance", frequency=frequency,
+                    **criteria),
+        lib.get_one(quantity="loop_resistance", frequency=frequency,
+                    **criteria),
+        lib.get_one(quantity="capacitance_per_length", **criteria),
+    )
 
 
 @dataclass(frozen=True)
@@ -152,6 +189,11 @@ class CharacterizationJob:
         raise NotImplementedError
 
     def builder_spec(self) -> dict:
+        """Solver configuration hashed into the cache keys.
+
+        Its ``"builder"`` label is a fixed string per job kind; changing
+        it would change every key and turn existing kits cold.
+        """
         raise NotImplementedError
 
     def solve_point(self, point: Tuple[float, ...]) -> Tuple[float, ...]:
@@ -177,8 +219,6 @@ class CharacterizationJob:
         distributions survive the trip from pool workers back to the
         parent (workers ship registry snapshot deltas with each chunk).
         """
-        from repro.telemetry import TABLE_BUILD_POINT, get_registry
-
         registry = get_registry()
         values: List[Tuple[float, ...]] = []
         for point in points:
@@ -188,8 +228,18 @@ class CharacterizationJob:
         return values
 
     def table_metadata(self) -> dict:
-        """Builder provenance recorded into each output table."""
+        """Solver provenance recorded into each output table."""
         raise NotImplementedError
+
+    def build(self) -> List[ExtractionTable]:
+        """Solve every grid point in this process and assemble the tables.
+
+        The serial, library-free build;
+        :class:`~repro.library.runner.BuildRunner` is the parallel,
+        checkpointed one.
+        """
+        with span("tables.build", job=self.kind, points=self.num_points()):
+            return self.assemble(self.solve_points(self.points()))
 
     # -- assembly ------------------------------------------------------
     def assemble(
@@ -245,9 +295,9 @@ class CharacterizationJob:
 class LoopTableJob(CharacterizationJob):
     """Loop L and loop R tables for a structure config (Sec. II-B).
 
-    Pairs a (width, length) grid with
-    :class:`~repro.tables.builder.LoopInductanceTableBuilder` semantics,
-    but solves point-wise so the runner can parallelize and checkpoint.
+    The extended Foundations store *loop* inductance with the plane
+    return folded in: each (width, length) point is one PEEC loop solve
+    of ``config.loop_problem`` at the significant frequency.
     """
 
     config: object = None
@@ -311,7 +361,14 @@ class LoopTableJob(CharacterizationJob):
 
 @dataclass(frozen=True)
 class MutualLoopJob(CharacterizationJob):
-    """Mutual loop inductance of trace pairs over a plane (Fig. 5(c))."""
+    """Mutual loop inductance of trace pairs over a plane (Fig. 5(c)).
+
+    Foundation 2's extension: the mutual loop inductance of two traces
+    over a shared plane depends only on the pair, so it tabulates on a
+    (separation, length) grid from 2-trace solves.  The config's
+    ``pair_problem`` drives the first trace and leaves the second open;
+    that open trace must be named ``"VICTIM"``.
+    """
 
     config: object = None
     frequency: float = 0.0
@@ -372,8 +429,44 @@ class MutualLoopJob(CharacterizationJob):
         return {"frequency": self.frequency, "model": "loop_pair"}
 
 
+class _PartialInductanceJob(CharacterizationJob):
+    """Validation and provenance shared by the two partial-L jobs.
+
+    Partial inductance is exact for blocks *without* ground planes under
+    the 1-/2-trace reduction (Sec. II-A / III).  ``frequency=None`` uses
+    the exact uniform-current closed form; a positive frequency meshes
+    the cross-section and solves the skin-effect current distribution.
+    """
+
+    thickness: float
+    resistivity: float
+
+    def _check_layer(self) -> None:
+        if self.thickness <= 0.0:
+            raise TableError("thickness must be positive")
+        if self.frequency is not None and self.frequency <= 0.0:
+            raise TableError("frequency must be positive when given")
+
+    def _bar(self, y: float, width: float, length: float) -> RectBar:
+        return RectBar(Point3D(0, y, 0), length=length, width=width,
+                       thickness=self.thickness)
+
+    def _conductor(self, name: str, bar: RectBar) -> Conductor:
+        delta = skin_depth(self.resistivity, self.frequency)
+        n_w, n_t = skin_mesh_counts(bar.width, self.thickness, delta)
+        return Conductor.from_bar(name, bar, self.resistivity, n_w, n_t,
+                                  grading=1.5)
+
+    def table_metadata(self):
+        return {
+            "thickness": self.thickness,
+            "frequency": self.frequency,
+            "model": "partial",
+        }
+
+
 @dataclass(frozen=True)
-class PartialSelfInductanceJob(CharacterizationJob):
+class PartialSelfInductanceJob(_PartialInductanceJob):
     """Partial self-L table over (width, length) for one layer."""
 
     thickness: float = 0.0
@@ -387,15 +480,9 @@ class PartialSelfInductanceJob(CharacterizationJob):
     kind = "partial_self"
 
     def __post_init__(self):
-        # builder constructor validates thickness/frequency
-        PartialInductanceTableBuilder(
-            self.thickness, self.frequency, self.resistivity)
+        self._check_layer()
         object.__setattr__(self, "widths", _axis_tuple("width", self.widths))
         object.__setattr__(self, "lengths", _axis_tuple("length", self.lengths))
-
-    def _builder(self) -> PartialInductanceTableBuilder:
-        return PartialInductanceTableBuilder(
-            self.thickness, self.frequency, self.resistivity)
 
     def axis_names(self):
         return ("width", "length")
@@ -415,19 +502,17 @@ class PartialSelfInductanceJob(CharacterizationJob):
         }
 
     def solve_point(self, point):
-        width, length = point
-        return (float(self._builder()._self_value(float(width), float(length))),)
-
-    def table_metadata(self):
-        return {
-            "thickness": self.thickness,
-            "frequency": self.frequency,
-            "model": "partial",
-        }
+        width, length = (float(v) for v in point)
+        bar = self._bar(0.0, width, length)
+        if self.frequency is None:
+            return (float(bar_self_inductance(bar)),)
+        solver = PartialInductanceSolver([self._conductor("T", bar)])
+        _, l_matrix = solver.effective_rl(self.frequency)
+        return (float(l_matrix[0, 0]),)
 
 
 @dataclass(frozen=True)
-class PartialMutualInductanceJob(CharacterizationJob):
+class PartialMutualInductanceJob(_PartialInductanceJob):
     """Partial mutual-L table over (width1, width2, spacing, length)."""
 
     thickness: float = 0.0
@@ -443,16 +528,11 @@ class PartialMutualInductanceJob(CharacterizationJob):
     kind = "partial_mutual"
 
     def __post_init__(self):
-        PartialInductanceTableBuilder(
-            self.thickness, self.frequency, self.resistivity)
+        self._check_layer()
         object.__setattr__(self, "widths1", _axis_tuple("width1", self.widths1))
         object.__setattr__(self, "widths2", _axis_tuple("width2", self.widths2))
         object.__setattr__(self, "spacings", _axis_tuple("spacing", self.spacings))
         object.__setattr__(self, "lengths", _axis_tuple("length", self.lengths))
-
-    def _builder(self) -> PartialInductanceTableBuilder:
-        return PartialInductanceTableBuilder(
-            self.thickness, self.frequency, self.resistivity)
 
     def axis_names(self):
         return ("width1", "width2", "spacing", "length")
@@ -473,19 +553,30 @@ class PartialMutualInductanceJob(CharacterizationJob):
 
     def solve_point(self, point):
         w1, w2, spacing, length = (float(v) for v in point)
-        return (float(self._builder()._mutual_value(w1, w2, spacing, length)),)
-
-    def table_metadata(self):
-        return {
-            "thickness": self.thickness,
-            "frequency": self.frequency,
-            "model": "partial",
-        }
+        if self.frequency is None:
+            return (float(mutual_inductance_batch(
+                0.0, length, 0.0, w1, 0.0, self.thickness,
+                0.0, length, w1 + spacing, w2, 0.0, self.thickness,
+            )),)
+        solver = PartialInductanceSolver([
+            self._conductor("T1", self._bar(0.0, w1, length)),
+            self._conductor("T2", self._bar(w1 + spacing, w2, length)),
+        ])
+        _, l_matrix = solver.effective_rl(self.frequency)
+        return (float(l_matrix[0, 1]),)
 
 
 @dataclass(frozen=True)
 class ThreeTraceCapacitanceJob(CharacterizationJob):
-    """Ground + coupling capacitance from 3-trace FD solves (Sec. II)."""
+    """Ground + coupling capacitance from 3-trace FD solves (Sec. II).
+
+    The paper's capacitance prescription verbatim: "for any trace, it is
+    sufficient to solve the trace and its two adjacent traces via
+    numerical extraction".  Each (width, spacing) point solves a
+    3-equal-trace cross-section over a grounded reference with the 2-D
+    FD extractor and keeps the middle trace's ground and coupling
+    capacitance per unit length.
+    """
 
     height_below: float = 0.0
     thickness: float = 0.0
@@ -501,14 +592,10 @@ class ThreeTraceCapacitanceJob(CharacterizationJob):
     frequency = None
 
     def __post_init__(self):
-        ThreeTraceCapacitanceBuilder(
-            self.height_below, self.thickness, self.eps_r, self.nx, self.nz)
+        if self.height_below <= 0.0 or self.thickness <= 0.0:
+            raise TableError("height_below and thickness must be positive")
         object.__setattr__(self, "widths", _axis_tuple("width", self.widths))
         object.__setattr__(self, "spacings", _axis_tuple("spacing", self.spacings))
-
-    def _builder(self) -> ThreeTraceCapacitanceBuilder:
-        return ThreeTraceCapacitanceBuilder(
-            self.height_below, self.thickness, self.eps_r, self.nx, self.nz)
 
     def axis_names(self):
         return ("width", "spacing")
@@ -535,10 +622,19 @@ class ThreeTraceCapacitanceJob(CharacterizationJob):
         }
 
     def solve_point(self, point):
-        width, spacing = point
-        ground, coupling = self._builder()._solve_point(
-            float(width), float(spacing))
-        return (float(ground), float(coupling))
+        width, spacing = (float(v) for v in point)
+        block = TraceBlock.from_widths_and_spacings(
+            widths=[width] * 3, spacings=[spacing] * 2, length=1.0,
+            thickness=self.thickness, ground_flags=[False] * 3,
+        )
+        cross_section = CrossSection2D.from_block(
+            block, plane_gap=self.height_below, eps_r=self.eps_r
+        )
+        matrix = FieldSolver2D(
+            cross_section, nx=self.nx, nz=self.nz).capacitance_matrix()
+        coupling = -matrix[1, 0]
+        ground = matrix[1, 1] + matrix[1, 0] + matrix[1, 2]
+        return (float(max(ground, 0.0)), float(max(coupling, 0.0)))
 
     def table_metadata(self):
         return {
@@ -555,10 +651,10 @@ class ThreeTraceCapacitanceJob(CharacterizationJob):
 class TotalCapacitanceJob(CharacterizationJob):
     """Per-unit-length total signal capacitance for a structure config.
 
-    The pool-safe counterpart of
-    :class:`~repro.tables.builder.CapacitanceTableBuilder`: instead of a
-    (possibly lambda) cross-section factory it holds the structure
-    config itself and calls its ``cross_section()`` method per point.
+    The paper's pre-characterized capacitance (its ref [4]): each
+    (width, spacing) point solves ``config.cross_section()`` with the
+    2-D finite-difference extractor and keeps the diagonal entry of the
+    conductor named *signal_name*.
     """
 
     config: object = None

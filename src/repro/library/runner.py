@@ -499,7 +499,12 @@ class BuildRunner:
         record: Callable[[int, Tuple[float, ...]], None],
         job_stats: JobStats,
     ) -> None:
-        """In-process deterministic loop; each point is a work unit."""
+        """In-process deterministic loop; each point is a work unit.
+
+        Points go through :meth:`CharacterizationJob.solve_points` one at
+        a time, so the point histogram fills as on the pool path and the
+        checkpoint still advances per point.
+        """
         from repro.telemetry.logs import correlation_scope
 
         registry = get_registry()
@@ -507,7 +512,7 @@ class BuildRunner:
             # Same correlation shape as the pool path, one point wide.
             with correlation_scope(chunk_id=f"{job.job_id[:12]}.{index}"):
                 t0 = time.perf_counter()
-                values = job.solve_point(points[index])
+                (values,) = job.solve_points([points[index]])
                 wall = time.perf_counter() - t0
             job_stats.chunk_wall_times.append(wall)
             registry.observe(BUILD_CHUNK_SECONDS, wall)

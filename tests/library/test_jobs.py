@@ -173,3 +173,73 @@ class TestSolvePoints:
         assert quantities == {
             "loop_inductance", "loop_resistance", "capacitance_per_length",
         }
+
+
+def _golden_jobs():
+    micro = MicrostripConfig(signal_width=um(4), thickness=um(1),
+                             plane_gap=um(2))
+    return {
+        "loop_rl": LoopTableJob(
+            config=cpw(), frequency=GHz(3.2),
+            widths=(um(6), um(10)), lengths=(um(500), um(2000))),
+        "mutual_loop": MutualLoopJob(
+            config=micro, frequency=GHz(3.2),
+            separations=(um(2), um(6)), lengths=(um(500), um(2000))),
+        "partial_self": PartialSelfInductanceJob(
+            thickness=um(1), widths=(um(1), um(2)),
+            lengths=(um(100), um(500))),
+        "partial_mutual": PartialMutualInductanceJob(
+            thickness=um(1), widths1=(um(1), um(2)), widths2=(um(1), um(2)),
+            spacings=(um(1), um(3)), lengths=(um(100), um(500))),
+        "three_trace_cap": ThreeTraceCapacitanceJob(
+            height_below=um(2), thickness=um(1), widths=(um(1), um(2)),
+            spacings=(um(1), um(2)), nx=60, nz=45),
+        "total_cap": TotalCapacitanceJob(
+            config=cpw(), widths=(um(6), um(10)), spacings=(um(1), um(2)),
+            nx=60, nz=45),
+    }
+
+
+#: job_id and table keys of each job kind, pinned: a change here turns
+#: every existing design kit cold.  Only a deliberate SCHEMA_VERSION bump
+#: may change them.
+GOLDEN_KEYS = {
+    "loop_rl": (
+        "83ec19e18937520cc7cdd7445f03a4c75993cc2c4c79f1321d3b86fda1c15c1e",
+        {"loop_inductance": "e6bfc4e5ddb7b3d645c97947a177e4cb"
+                            "947829a9d8525b3878912fbb2907decd",
+         "loop_resistance": "1564d05226dcb440176773a7e46558ea"
+                            "fa9035ff629436e92a99575f5c8d24b3"}),
+    "mutual_loop": (
+        "f888ac08c51b58fc182464f04a1f2a5644a141dda26cccbcce19e1422e89043c",
+        {"mutual_loop_inductance": "7b36abb66a3b317909bbe0062a032b16"
+                                   "daecf33d11f33c62a1c4aab9f9012d82"}),
+    "partial_self": (
+        "fd2381ea9656f6d139118417f2be07df9849424d736b41db52724a892878c049",
+        {"self_partial_inductance": "a91baa316341498ff468bc8f5512cbe8"
+                                    "c7e1298cca77e83b083cc032df8c603c"}),
+    "partial_mutual": (
+        "e250f14abd1b134993fa0428958a6801d69618869716ec8f2ae34badc5c61185",
+        {"mutual_partial_inductance": "1484541c1dbd4406d22ba7c6390749bc"
+                                      "b6096e7bf7152c0e39609a436796a56d"}),
+    "three_trace_cap": (
+        "210c0f78c35959c8a518a16d44caabf9cca9663b39f47b5b00c0b3289522e04e",
+        {"three_trace_ground_capacitance": "0ea1edff2ce4ef7e6c277ffbe82a994b"
+                                           "59bf8618ae49a1b0b748eb458fecb5d4",
+         "three_trace_coupling_capacitance": "cab9132d903d1df6d46d7109b944245c"
+                                             "fe03373f3f00c4dd689c041937eee006"}),
+    "total_cap": (
+        "79031d7a73cd6cbb84166d5cf24765c456b2641fa52210e700efa8da68370673",
+        {"signal_capacitance_per_length": "83535db5d02e167f47a07e4589c4e128"
+                                          "e387819a235fe468c1cb1721f1e8db40"}),
+}
+
+
+class TestGoldenKeys:
+    @pytest.mark.parametrize("kind", sorted(GOLDEN_KEYS))
+    def test_keys_pinned(self, kind):
+        job = _golden_jobs()[kind]
+        job_id, table_keys = GOLDEN_KEYS[kind]
+        assert job.kind == kind
+        assert job.job_id == job_id
+        assert job.table_keys() == table_keys

@@ -10,6 +10,7 @@ from repro.errors import TableError
 from repro.library.jobs import CharacterizationJob, JobOutput
 from repro.library.runner import BuildRunner, build_library
 from repro.library.store import TableLibrary
+from repro.telemetry import TABLE_BUILD_POINT
 
 SOLVE_LOG = []
 
@@ -113,6 +114,12 @@ class TestSerialBuild:
                       progress=ticks.append)
         assert [t.done for t in ticks] == [1, 2, 3, 4, 5, 6]
         assert all(t.total == 6 for t in ticks)
+
+    def test_point_histogram_counts_every_solved_point(self, tmp_path):
+        stats = build_library(tmp_path / "kit", [StubJob()], parallel=False)
+        points = stats.jobs[0].metrics.histogram(TABLE_BUILD_POINT)
+        assert points is not None
+        assert points.count == stats.points_solved == 6
 
     def test_invalid_workers_rejected(self, tmp_path):
         with pytest.raises(TableError):
