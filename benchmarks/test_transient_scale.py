@@ -76,7 +76,7 @@ def _assembled(levels: int, sections: int):
     )
     extractor = ConstantRLCExtractor(config, frequency=GHz(6.4))
     netlist = extractor.build_netlist(
-        htree, include_inductance=True, sections=sections, lint=False,
+        htree, include_inductance=True, sections=sections,
     )
     return netlist.circuit.assemble()
 

@@ -16,8 +16,9 @@ Checks (severity in parentheses):
 * empty circuit / no ground connection (error),
 * non-positive or non-finite R, L, C values (error),
 * mutual coupling ``|k| >= 1`` (error) and ``|k| > 0.95`` (warning),
-* inductance-matrix passivity: the assembled ``[L, M]`` block must be
-  positive semi-definite or the circuit can generate energy (error),
+* inductance-matrix passivity: the ``[L, M]`` matrix must be positive
+  semi-definite or the circuit can generate energy; it is checked per
+  connected component of the mutual-coupling graph (error),
 * nodes with no conducting path to ground -- current sources do not
   count as conducting, matching the MNA singularity they cause (error),
 * dangling single-terminal nodes (warning),
@@ -42,6 +43,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from repro.circuit.elements import (
     VCVS,
@@ -197,33 +200,6 @@ class NetlistHealthReport:
         )
 
 
-class _UnionFind:
-    """Minimal union-find over node names for connectivity analysis."""
-
-    def __init__(self) -> None:
-        self._parent: Dict[str, str] = {}
-
-    def add(self, node: str) -> None:
-        self._parent.setdefault(node, node)
-
-    def find(self, node: str) -> str:
-        self.add(node)
-        root = node
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[node] != root:  # path compression
-            self._parent[node], node = root, self._parent[node]
-        return root
-
-    def union(self, a: str, b: str) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self._parent[ra] = rb
-
-    def connected(self, a: str, b: str) -> bool:
-        return self.find(a) == self.find(b)
-
-
 def _value_findings(circuit: Circuit) -> List[LintFinding]:
     """Non-positive / non-finite R, L, C values."""
     findings: List[LintFinding] = []
@@ -267,8 +243,8 @@ def _coupling_findings(circuit: Circuit):
                 f"{mutual.inductor1!r}/{mutual.inductor2!r}", mutual.name,
             ))
             continue
-        denom = math.sqrt(l1.inductance * l2.inductance)
-        k = abs(mutual.mutual) / denom if denom > 0 else math.inf
+        product = l1.inductance * l2.inductance
+        k = abs(mutual.mutual) / math.sqrt(product) if product > 0 else math.inf
         max_k = k if max_k is None else max(max_k, k)
         if k >= 1.0:
             findings.append(LintFinding(
@@ -285,32 +261,46 @@ def _coupling_findings(circuit: Circuit):
 
 
 def _passivity_findings(circuit: Circuit):
-    """PSD check of the assembled inductance matrix [L_i, M_ij].
+    """PSD check of the inductance matrix [L_i, M_ij], block by block.
 
     A non-PSD inductance matrix stores negative energy for some current
     vector -- the simulated circuit would amplify rather than damp, which
     is exactly the artifact the paper's partial-inductance modeling must
-    avoid.  Returns (findings, min eigenvalue or None).
+    avoid.  The matrix is block-diagonal over the connected components
+    of the mutual-coupling graph, so ``eigvalsh`` runs only on each
+    coupled block; an uncoupled inductor's eigenvalue is its own value.
+    Returns (findings, min eigenvalue or None).
     """
     inductors = [e for e in circuit.elements if isinstance(e, Inductor)]
     if not inductors:
         return [], None
     index = {ind.name: i for i, ind in enumerate(inductors)}
     n = len(inductors)
-    l_matrix = np.zeros((n, n))
-    for i, ind in enumerate(inductors):
-        l_matrix[i, i] = ind.inductance
+    rows, cols = list(range(n)), list(range(n))
+    values = [ind.inductance for ind in inductors]
     for mutual in circuit.mutuals:
         i = index.get(mutual.inductor1)
         j = index.get(mutual.inductor2)
         if i is None or j is None:
             continue  # reported by _coupling_findings
-        l_matrix[i, j] += mutual.mutual
-        l_matrix[j, i] += mutual.mutual
-    eigenvalues = np.linalg.eigvalsh(l_matrix)
-    min_eig = float(eigenvalues[0])
+        rows += (i, j)
+        cols += (j, i)
+        values += (mutual.mutual, mutual.mutual)
+    # duplicate (i, j) entries sum, as repeated couplings do
+    l_matrix = sparse.csr_matrix((values, (rows, cols)), shape=(n, n))
+    diag = l_matrix.diagonal()
+    _, labels = connected_components(l_matrix, directed=False)
+    sizes = np.bincount(labels)
+    eigenvalues = [diag[sizes[labels] == 1]]
+    members_by_block = np.argsort(labels, kind="stable")
+    ends = np.cumsum(sizes)
+    for block in np.flatnonzero(sizes > 1):
+        members = members_by_block[ends[block] - sizes[block]:ends[block]]
+        block_matrix = l_matrix[members][:, members].toarray()
+        eigenvalues.append(np.linalg.eigvalsh(block_matrix)[:1])
+    min_eig = float(np.min(np.concatenate(eigenvalues)))
     findings: List[LintFinding] = []
-    tol = PSD_RTOL * float(np.max(np.diag(l_matrix)))
+    tol = PSD_RTOL * float(np.max(diag))
     if min_eig < -tol:
         findings.append(LintFinding(
             "error", "l_matrix_not_psd",
@@ -323,24 +313,31 @@ def _passivity_findings(circuit: Circuit):
 def _connectivity_findings(circuit: Circuit) -> List[LintFinding]:
     """Ground reachability, dangling nodes and control-only nodes."""
     findings: List[LintFinding] = []
-    uf = _UnionFind()
-    uf.add(GROUND)
+    index: Dict[str, int] = {GROUND: 0}
+    rows: List[int] = []
+    cols: List[int] = []
     degree: Dict[str, int] = {}
     control_only: Dict[str, bool] = {}
     for element in circuit.elements:
         for node in (element.node1, element.node2):
-            uf.add(node)
+            index.setdefault(node, len(index))
             degree[node] = degree.get(node, 0) + 1
             control_only[node] = False
         # Current sources inject current but add no conductance: a node
         # reachable only through one has a singular KCL row, so they do
         # not count as a conducting path.
         if not isinstance(element, CurrentSource):
-            uf.union(element.node1, element.node2)
+            rows.append(index[element.node1])
+            cols.append(index[element.node2])
         if isinstance(element, VCVS):
             for node in (element.control1, element.control2):
-                uf.add(node)
+                index.setdefault(node, len(index))
                 control_only.setdefault(node, True)
+    n = len(index)
+    graph = sparse.csr_matrix(
+        (np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    _, labels = connected_components(graph, directed=False)
+    grounded = labels == labels[index[GROUND]]
 
     for node in sorted(control_only):
         if node == GROUND:
@@ -351,7 +348,7 @@ def _connectivity_findings(circuit: Circuit) -> List[LintFinding]:
                 "appears only as a VCVS control terminal; its KCL row is "
                 "all-zero and the MNA system is singular", node,
             ))
-        elif not uf.connected(node, GROUND):
+        elif not grounded[index[node]]:
             findings.append(LintFinding(
                 "error", "disconnected_from_ground",
                 "no conducting path (R/C/L/V/E) to ground", node,

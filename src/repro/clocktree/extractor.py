@@ -19,7 +19,7 @@ underestimation the paper warns about).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
@@ -63,10 +63,12 @@ class ClocktreeNetlist:
     #: Netlist health report (populated by :meth:`lint`, or eagerly by
     #: :meth:`ClocktreeRLCExtractor.build_netlist` unless disabled).
     health: Optional[NetlistHealthReport] = None
+    #: Extracted totals per segment name, in stamping order.
+    segments: Dict[str, SegmentRLC] = field(default_factory=dict)
 
-    def lint(self, refresh: bool = False) -> NetlistHealthReport:
+    def lint(self) -> NetlistHealthReport:
         """Run (or return the cached) netlist health lint."""
-        if self.health is None or refresh:
+        if self.health is None:
             kind = "rlc" if self.includes_inductance else "rc"
             self.health = lint_circuit(
                 self.circuit, name=self.circuit.title or f"clocktree_{kind}"
@@ -283,7 +285,13 @@ class ClocktreeRLCExtractor:
         root_node = "drv_root"
         circuit.add_resistor("Rdrv_root", "src", root_node, buffer.drive_resistance)
 
-        sink_nodes: Dict[str, str] = {}
+        netlist = ClocktreeNetlist(
+            circuit=circuit,
+            source_name="Vclk",
+            root_node=root_node,
+            sink_nodes={},
+            includes_inductance=include_inductance,
+        )
         with span(
             "htree.build_netlist",
             segments=len(htree.segments),
@@ -291,17 +299,7 @@ class ClocktreeRLCExtractor:
             inductance=include_inductance,
         ):
             for segment in htree.segments:
-                self._stamp_segment(
-                    circuit, htree, segment, root_node, sections,
-                    include_inductance, sink_nodes, rc_scale,
-                )
-        netlist = ClocktreeNetlist(
-            circuit=circuit,
-            source_name="Vclk",
-            root_node=root_node,
-            sink_nodes=sink_nodes,
-            includes_inductance=include_inductance,
-        )
+                self._stamp_segment(netlist, htree, segment, sections, rc_scale)
         if lint:
             netlist.lint()
         return netlist
@@ -313,17 +311,15 @@ class ClocktreeRLCExtractor:
 
     def _stamp_segment(
         self,
-        circuit: Circuit,
+        netlist: ClocktreeNetlist,
         htree: HTree,
         segment: HTreeSegment,
-        root_node: str,
         sections: int,
-        include_inductance: bool,
-        sink_nodes: Dict[str, str],
         rc_scale: Tuple[float, float] = (1.0, 1.0),
     ) -> None:
-        rlc = self.segment_rlc_for(segment)
-        start = self._drive_node(segment, root_node)
+        rlc = netlist.segments[segment.name] = self.segment_rlc_for(segment)
+        circuit = netlist.circuit
+        start = self._drive_node(segment, netlist.root_node)
         name = segment.name
         r_per = rlc.resistance * rc_scale[0] / sections
         l_per = rlc.inductance / sections
@@ -333,7 +329,7 @@ class ClocktreeRLCExtractor:
         for k in range(sections):
             end = f"{name}_n{k + 1}"
             circuit.add_capacitor(f"C_{name}_{k}a", node, "0", c_half)
-            if include_inductance and l_per > 0.0:
+            if netlist.includes_inductance and l_per > 0.0:
                 mid = f"{name}_m{k + 1}"
                 circuit.add_resistor(f"R_{name}_{k}", node, mid, r_per)
                 circuit.add_inductor(f"L_{name}_{k}", mid, end, l_per)
@@ -359,4 +355,4 @@ class ClocktreeRLCExtractor:
                 circuit.add_capacitor(
                     f"Csink_{name}", node, "0", htree.sink_capacitance
                 )
-            sink_nodes[name] = node
+            netlist.sink_nodes[name] = node

@@ -29,8 +29,7 @@ class SkewResult:
     source_crossing: float
     result: TransientResult
     sink_nodes: Dict[str, str] = field(default_factory=dict)
-    #: Health report of the simulated netlist (None when linting was
-    #: disabled on both the netlist build and the simulate call).
+    #: Health report of the simulated netlist.
     health: Optional[NetlistHealthReport] = None
 
     def simulation_report(self) -> Dict[str, Any]:
@@ -70,7 +69,6 @@ def simulate_clocktree(
     t_stop: float,
     dt: float,
     threshold_fraction: float = 0.5,
-    lint: bool = True,
     diagnostics: bool = True,
     solver: str = "auto",
 ) -> SkewResult:
@@ -79,8 +77,8 @@ def simulate_clocktree(
     Arrival is the first crossing of ``threshold_fraction * supply`` at
     each sink; the reference crossing is taken at the root driver node.
 
-    Unless disabled, the netlist health report (cached from the build,
-    or computed here) and the per-run :class:`TransientDiagnostics` ride
+    The netlist health report (cached from the build, or computed here)
+    and, unless disabled, the per-run :class:`TransientDiagnostics` ride
     along on the :class:`SkewResult`, so every skew number is traceable
     to the integration quality that produced it.  *solver* picks the
     transient factorization backend (``"auto"`` / ``"dense"`` /
@@ -89,7 +87,7 @@ def simulate_clocktree(
     """
     if not netlist.sink_nodes:
         raise CircuitError("netlist has no sinks")
-    health = netlist.lint() if (lint or netlist.health is not None) else None
+    health = netlist.lint()
     result = transient_analysis(
         netlist.circuit, t_stop=t_stop, dt=dt, diagnostics=diagnostics,
         solver=solver,

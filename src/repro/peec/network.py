@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from repro.constants import RHO_CU
 from repro.errors import CircuitError, SolverError
@@ -149,27 +151,22 @@ class FilamentNetwork:
 
     def node_names(self) -> List[str]:
         """All node names, ground first."""
-        names = [self.ground]
-        for a, b in list(self._terminals) + list(self._resistor_terminals):
-            for node in (a, b):
-                if node not in names:
-                    names.append(node)
-        return names
+        terminals = self._terminals + self._resistor_terminals
+        return list(dict.fromkeys(
+            [self.ground] + [node for pair in terminals for node in pair]
+        ))
 
-    def _check_connectivity(self, nodes: List[str]) -> None:
+    def _check_connectivity(self, node_index: Dict[str, int]) -> None:
         """Every node must reach ground through branches (else singular)."""
-        parent = {name: name for name in nodes}
-
-        def find(x: str) -> str:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b in list(self._terminals) + list(self._resistor_terminals):
-            parent[find(a)] = find(b)
-        root = find(self.ground)
-        floating = [n for n in nodes if find(n) != root]
+        terminals = self._terminals + self._resistor_terminals
+        rows = [node_index[a] for a, _ in terminals]
+        cols = [node_index[b] for _, b in terminals]
+        n = len(node_index)
+        graph = sparse.csr_matrix(
+            (np.ones(len(rows)), (rows, cols)), shape=(n, n))
+        _, labels = connected_components(graph, directed=False)
+        root = labels[node_index[self.ground]]
+        floating = [name for name, i in node_index.items() if labels[i] != root]
         if floating:
             raise SolverError(
                 f"nodes {floating} form a floating subnetwork with no path "
@@ -202,7 +199,7 @@ class FilamentNetwork:
             return self._system
         nodes = self.node_names()
         node_index = {name: i for i, name in enumerate(nodes)}
-        self._check_connectivity(nodes)
+        self._check_connectivity(node_index)
 
         filaments, resistances, lp, owner_list = self._filament_system()
         owner = np.array(owner_list, dtype=int)

@@ -74,6 +74,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     server: "ExtractionServer"
     protocol_version = "HTTP/1.1"
+    # Headers and body go out as two writes; with Nagle on, the body of
+    # every keep-alive response waits for the client's delayed ACK.
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------
     # plumbing

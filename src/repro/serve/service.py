@@ -411,10 +411,6 @@ class ExtractionService:
                 buffer=buffer, sink_capacitance=sink_cap_ff * 1e-15,
             )
             extractor = self._extractor_for(config, frequency)
-            segments = [
-                (segment, extractor.segment_rlc_for(segment))
-                for segment in htree.segments
-            ]
             netlist = extractor.build_netlist(
                 htree, include_inductance=include_l, sections=sections,
                 lint=lint,
@@ -427,7 +423,7 @@ class ExtractionService:
         result: Dict[str, Any] = {
             "frequency_ghz": frequency / 1e9,
             "levels": levels,
-            "num_segments": len(segments),
+            "num_segments": len(netlist.segments),
             "num_sinks": len(netlist.sink_nodes),
             "tables": {
                 "inductance": extractor.inductance_table is not None,
@@ -436,13 +432,13 @@ class ExtractionService:
             },
             "segments": [
                 {
-                    "name": segment.name,
-                    "length_um": segment.length * 1e6,
+                    "name": name,
+                    "length_um": rlc.length * 1e6,
                     "resistance_ohm": rlc.resistance,
                     "inductance_h": rlc.inductance,
                     "capacitance_f": rlc.capacitance,
                 }
-                for segment, rlc in segments
+                for name, rlc in netlist.segments.items()
             ],
             "netlist": {
                 "elements": len(netlist.circuit.elements),

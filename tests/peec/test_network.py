@@ -159,7 +159,7 @@ class TestFloatingSubnetworks:
         net.add_conductor("sig", bar(0.0), "in", "far")
         net.add_conductor("ret", bar(um(10)), "gnd", "far")
         net.add_conductor("island", bar(um(50)), "isoA", "isoB")
-        with pytest.raises(SolverError):
+        with pytest.raises(SolverError, match=r"\['isoA', 'isoB'\]"):
             net.solve(1e9, {"in": 1.0})
 
     def test_victim_with_far_tie_is_solvable(self):

@@ -6,8 +6,10 @@ cache with **zero** field/loop-solver invocations, proven via a
 ``metrics_meter`` around the repeat request.
 """
 
+import http.client
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -76,6 +78,23 @@ class TestRoutes:
         })
         assert status == 200
         assert envelope["result"]["value"] > 0.0
+
+    def test_keep_alive_responses_do_not_wait_for_delayed_ack(self, server):
+        # Headers and body are two writes; with Nagle's algorithm on,
+        # each keep-alive response stalls ~40 ms on the client's ACK.
+        conn = http.client.HTTPConnection("127.0.0.1", server.port,
+                                          timeout=10.0)
+        try:
+            t0 = time.perf_counter()
+            for _ in range(20):
+                conn.request("GET", "/healthz")
+                response = conn.getresponse()
+                response.read()
+                assert response.status == 200
+            elapsed = time.perf_counter() - t0
+        finally:
+            conn.close()
+        assert elapsed < 0.4
 
     def test_unknown_get_404(self, server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:

@@ -114,6 +114,15 @@ class TestExtract:
         assert result["num_sinks"] == 4
         assert len(result["netlist"]["sink_nodes"]) == 4
 
+    def test_cold_extract_looks_each_segment_up_once(self, service):
+        with metrics_meter() as meter:
+            result = service.handle(
+                "extract", {"root_length_um": 2500.0, "levels": 2})["result"]
+        tables = sum(result["tables"].values())
+        assert tables == 2  # the kit carries loop R and L tables
+        assert meter.delta.counter("table_lookup") == (
+            tables * result["num_segments"])
+
     def test_lint_report_attached_and_clean(self, service):
         result = service.handle(
             "extract", {"root_length_um": 1500.0, "levels": 2})["result"]
